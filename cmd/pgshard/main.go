@@ -39,7 +39,7 @@ func main() {
 		artifact  = flag.String("artifact", "", "binary artifact (.pg) to serve (required)")
 		shard     = flag.String("shard", "0/1", "this shard's position as index/count, e.g. 1/3")
 		peers     = flag.String("peers", "", "comma-separated shard addresses in index order (default: -addr alone)")
-		workers   = flag.Int("workers", 1, "engine workers; 1 keeps answers bit-deterministic across replicas")
+		workers   = flag.Int("workers", 1, "engine workers")
 		kinds     = flag.String("kinds", "", "comma-separated sketch kinds to load (default: every resident kind)")
 		est       = flag.String("est", "auto", "|X∩Y| estimator within the representation: auto | and | l | or | 1hsimple")
 		cacheSize = flag.Int("cache", 1<<16, "engine result cache entries (0 = disabled)")

@@ -9,6 +9,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand/v2"
 	"sort"
 
@@ -92,7 +93,8 @@ func ReducedExecutionTC(o *graph.Oriented, frac float64, seed uint64, workers in
 		cut = 1
 	}
 	picked := perm[:cut]
-	sum := par.ReduceInt64(len(picked), workers, func(lo, hi int) int64 {
+	// An uncancellable context: Sum cannot fail.
+	sum, _ := par.Sum(context.Background(), len(picked), workers, func(lo, hi int) int64 {
 		var s int64
 		for i := lo; i < hi; i++ {
 			v := uint32(picked[i])
@@ -136,7 +138,8 @@ func PartialProcessingTC(o *graph.Oriented, frac float64, seed uint64, workers i
 		}
 		sampled[v] = keep
 	})
-	sum := par.ReduceInt64(n, workers, func(lo, hi int) int64 {
+	// An uncancellable context: Sum cannot fail.
+	sum, _ := par.Sum(context.Background(), n, workers, func(lo, hi int) int64 {
 		var s int64
 		for v := lo; v < hi; v++ {
 			sv := sampled[v]
@@ -187,7 +190,8 @@ func autoApproxGather(g *graph.Graph, v uint32, inbox []vcMessage) int64 {
 // vertices: every processed vertex receives one message per incident
 // edge carrying the sender's full neighbor list (scatter), then gathers.
 func autoApproxProcess(g *graph.Graph, vertices []uint32, workers int) int64 {
-	return par.ReduceInt64(len(vertices), workers, func(lo, hi int) int64 {
+	// An uncancellable context: Sum cannot fail.
+	sum, _ := par.Sum(context.Background(), len(vertices), workers, func(lo, hi int) int64 {
 		var s int64
 		for i := lo; i < hi; i++ {
 			v := vertices[i]
@@ -203,6 +207,7 @@ func autoApproxProcess(g *graph.Graph, vertices []uint32, workers int) int64 {
 		}
 		return s
 	})
+	return sum
 }
 
 // AutoApprox1TC is Auto-Approximation variant 1: process a uniform

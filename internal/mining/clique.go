@@ -25,7 +25,7 @@ func Exact4Clique(o *graph.Oriented, workers int) int64 {
 // Exact4CliqueCtx is Exact4Clique with cooperative cancellation.
 func Exact4CliqueCtx(ctx context.Context, o *graph.Oriented, workers int) (int64, error) {
 	n := o.NumVertices()
-	return par.ReduceInt64Ctx(ctx, n, workers, func(lo, hi int) int64 {
+	return par.Sum(ctx, n, workers, func(lo, hi int) int64 {
 		var ck int64
 		var c3 []uint32
 		for u := lo; u < hi; u++ {
@@ -69,7 +69,7 @@ func PG4CliqueCtx(ctx context.Context, o *graph.Oriented, pg *core.PG, workers i
 		return pg4CliqueSampled(ctx, o, pg, workers)
 	}
 	n := o.NumVertices()
-	return par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	return par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		var ck float64
 		var c3 []uint32
 		var bufs batchBufs
@@ -105,7 +105,7 @@ func PG4CliqueCtx(ctx context.Context, o *graph.Oriented, pg *core.PG, workers i
 func pg4CliqueSampled(ctx context.Context, o *graph.Oriented, pg *core.PG, workers int) (float64, error) {
 	n := o.NumVertices()
 	k := pg.Cfg.K
-	return par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	return par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		var ck float64
 		sampleH := make([]uint64, 0, k)
 		sampleE := make([]uint32, 0, k)
@@ -166,7 +166,7 @@ func ExactKCliqueCtx(ctx context.Context, o *graph.Oriented, k, workers int) (in
 		return 0, nil
 	}
 	n := o.NumVertices()
-	return par.ReduceInt64Ctx(ctx, n, workers, func(lo, hi int) int64 {
+	return par.Sum(ctx, n, workers, func(lo, hi int) int64 {
 		var total int64
 		scratch := make([][]uint32, k)
 		for v := lo; v < hi; v++ {
@@ -222,7 +222,7 @@ func PGKCliqueCtx(ctx context.Context, o *graph.Oriented, pg *core.PG, k, worker
 	}
 	n := o.NumVertices()
 	words := pg.Cfg.BloomBits / bitset.WordBits
-	total, err := par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	total, err := par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		scratch := make([][]uint32, k)
 		// acc[level] is the AND of the Bloom filters along the prefix.
 		acc := make([]bitset.Bits, k)

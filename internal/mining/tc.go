@@ -49,7 +49,7 @@ func ExactTC(o *graph.Oriented, workers int) int64 {
 // ExactTCCtx is ExactTC with cooperative cancellation.
 func ExactTCCtx(ctx context.Context, o *graph.Oriented, workers int) (int64, error) {
 	n := o.NumVertices()
-	return par.ReduceInt64Ctx(ctx, n, workers, func(lo, hi int) int64 {
+	return par.Sum(ctx, n, workers, func(lo, hi int) int64 {
 		var tc int64
 		for v := lo; v < hi; v++ {
 			nv := o.NPlus(uint32(v))
@@ -73,7 +73,7 @@ func PGTC(g *graph.Graph, pg *core.PG, workers int) float64 {
 // PGTCCtx is PGTC with cooperative cancellation.
 func PGTCCtx(ctx context.Context, g *graph.Graph, pg *core.PG, workers int) (float64, error) {
 	n := g.NumVertices()
-	sum, err := par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	sum, err := par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		var bufs batchBufs
 		var s float64
 		for u := lo; u < hi; u++ {
@@ -125,7 +125,7 @@ func LocalClusteringCoefficientCtx(ctx context.Context, g *graph.Graph, workers 
 	if n == 0 {
 		return 0, nil
 	}
-	sum, err := par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	sum, err := par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		var s float64
 		for v := lo; v < hi; v++ {
 			nv := g.Neighbors(uint32(v))
@@ -162,7 +162,7 @@ func PGLocalClusteringCoefficientCtx(ctx context.Context, g *graph.Graph, pg *co
 	if n == 0 {
 		return 0, nil
 	}
-	sum, err := par.ReduceFloat64Ctx(ctx, n, workers, func(lo, hi int) float64 {
+	sum, err := par.Sum(ctx, n, workers, func(lo, hi int) float64 {
 		var bufs batchBufs
 		var s float64
 		for v := lo; v < hi; v++ {
@@ -232,7 +232,7 @@ func PGLocalTC(g *graph.Graph, pg *core.PG, workers int) []float64 {
 func PGLocalTCCtx(ctx context.Context, g *graph.Graph, pg *core.PG, workers int) ([]float64, error) {
 	n := g.NumVertices()
 	counts := make([]float64, n)
-	err := par.ForChunkedCtx(ctx, n, workers, 0, func(lo, hi int) {
+	err := par.ForChunkedCtx(ctx, n, workers, func(lo, hi int) {
 		var bufs batchBufs
 		for v := lo; v < hi; v++ {
 			nv := g.Neighbors(uint32(v))

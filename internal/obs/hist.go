@@ -59,14 +59,16 @@ func bucketValue(i int) int64 {
 	return int64(histSubSize+minor) << (major - 1)
 }
 
-// Record adds one latency observation. Safe for concurrent use.
+// Record adds one latency observation. Safe for concurrent use. The
+// count is bumped before the bucket, so a concurrent Snapshot never
+// sums more bucket hits than a later Count() reports.
 func (h *Hist) Record(d time.Duration) {
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
 	}
-	atomic.AddInt64(&h.buckets[bucketOf(ns)], 1)
 	atomic.AddInt64(&h.count, 1)
+	atomic.AddInt64(&h.buckets[bucketOf(ns)], 1)
 	atomic.AddInt64(&h.sum, ns)
 	for {
 		m := atomic.LoadInt64(&h.max)

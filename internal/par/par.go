@@ -1,30 +1,30 @@
 // Package par provides the parallel building blocks used throughout
 // ProbGraph: a dynamic parallel-for (the Go analogue of the paper's
-// "[in par]" OpenMP loops, §VI-B), parallel sum reductions, and explicit
-// worker-count control so the scaling experiments (Fig. 8/9) can sweep
-// thread counts deterministically.
+// "[in par]" OpenMP loops, §VI-B), one ordered per-chunk reduction, and
+// explicit worker-count control so the scaling experiments (Fig. 8/9)
+// can sweep thread counts.
 //
-// Scheduling is dynamic: workers pull fixed-size chunks from a shared
-// atomic counter. This mirrors OpenMP's schedule(dynamic) and is what
-// gives the exact CSR baselines a fair chance on skewed-degree graphs;
-// ProbGraph's fixed-size sketches then remove the residual imbalance
-// within a chunk (Fig. 1, panel 5).
+// Every loop walks the same chunk grid: [0, n) is cut into chunks of
+// width max(ceil(n/256), 128), a rule that depends on n
+// alone — never on the worker count. Workers pull chunk indices from a
+// shared atomic counter, which mirrors OpenMP's schedule(dynamic) and
+// is what gives the exact CSR baselines a fair chance on skewed-degree
+// graphs; ProbGraph's fixed-size sketches then remove the residual
+// imbalance within a chunk (Fig. 1, panel 5).
 //
-// Every loop has a context-aware variant (ForCtx, ForChunkedCtx,
-// ReduceInt64Ctx, ReduceFloat64Ctx) that observes cancellation at chunk
+// Contract: scheduling is nondeterministic, results are not. Chunks
+// writes each chunk's result into its own slot and returns the slots in
+// chunk order, and Sum folds them in that order, so a reduction groups
+// its float additions identically for every worker count and every
+// schedule: results are bit-identical at 1, 2 or 64 workers. The
+// single-worker path walks the same grid in the calling goroutine.
+//
+// Every loop takes a context and observes cancellation at chunk
 // boundaries: no new chunk is started after the context is cancelled,
-// chunks already in flight run to completion, and the first observed
-// ctx.Err() is returned. A context whose Done channel is nil (such as
-// context.Background()) adds no overhead to the hot path.
-//
-// Contract: scheduling is nondeterministic but chunk boundaries are
-// not — a chunked loop partitions [0, n) identically for every worker
-// count, which is what lets callers build bit-identical float results
-// on top of dynamic scheduling: compute per-chunk partials, merge them
-// in chunk order (see internal/pattern's chunkSize contract). Callers
-// passing an explicit chunk size must pass a positive one or use
-// chunk <= 0 to select the automatic size; workers <= 0 means
-// DefaultWorkers().
+// chunks already in flight run to completion, and ctx.Err() is
+// returned. A context whose Done channel is nil (such as
+// context.Background()) adds no overhead to the hot path. workers <= 0
+// means DefaultWorkers().
 package par
 
 import (
@@ -34,72 +34,50 @@ import (
 	"sync/atomic"
 )
 
+const (
+	// maxChunks caps the number of chunks in a loop's grid: enough for
+	// dynamic balancing at any worker count this code targets.
+	maxChunks = 256
+	// minChunk is the floor on chunk width, so a small loop is not cut
+	// into chunks too short to amortize the scheduling cost.
+	minChunk = 128
+)
+
 // DefaultWorkers returns the worker count used when a caller passes
 // workers <= 0: the runtime's GOMAXPROCS setting.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Chunk computes a reasonable chunk size for n items across w workers:
-// enough chunks for dynamic balancing (≈8 per worker) without excessive
-// contention on the shared counter.
-func Chunk(n, w int) int {
-	c := n / (w * 8)
-	if c < 1 {
-		c = 1
-	}
-	return c
+// grid returns the chunk width for a loop over n > 0 items.
+func grid(n int) int {
+	return max((n+maxChunks-1)/maxChunks, minChunk)
 }
 
-// For runs body(i) for every i in [0, n) using the given number of
-// workers (<=0 means DefaultWorkers). Iterations must be independent;
-// body must synchronize any shared writes itself.
-func For(n, workers int, body func(i int)) {
-	ForCtx(context.Background(), n, workers, body)
-}
-
-// ForCtx is For with cooperative cancellation: after ctx is cancelled no
-// new chunk is started, and ctx.Err() is returned. Chunks already in
-// flight finish, so the latency of cancellation is one chunk.
-func ForCtx(ctx context.Context, n, workers int, body func(i int)) error {
-	return ForChunkedCtx(ctx, n, workers, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForChunked runs body(lo, hi) over disjoint chunks covering [0, n).
-// chunk <= 0 selects an automatic size. Each worker pulls chunks from a
-// shared atomic cursor until the range is exhausted.
-func ForChunked(n, workers, chunk int, body func(lo, hi int)) {
-	ForChunkedCtx(context.Background(), n, workers, chunk, body)
-}
-
-// ForChunkedCtx is ForChunked with cooperative cancellation at chunk
-// boundaries. It returns nil when every chunk ran, ctx.Err() when
-// cancellation cut the loop short. A single worker always runs the
-// range as ForChunked's one body(0, n) chunk — whatever the context —
-// so single-worker results are bit-identical to the non-ctx form;
-// cancellation is then observed only before the run starts.
-func ForChunkedCtx(ctx context.Context, n, workers, chunk int, body func(lo, hi int)) error {
+// Chunks runs body(lo, hi) over every chunk of the grid covering [0, n)
+// and returns the per-chunk results in chunk order. On cancellation it
+// returns nil and ctx.Err().
+func Chunks[T any](ctx context.Context, n, workers int, body func(lo, hi int) T) ([]T, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
+	width := grid(n)
+	out := make([]T, (n+width-1)/width)
 	done := ctxDone(ctx)
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
+	workers = min(workers, len(out))
+	run := func(c int) {
+		lo := c * width
+		out[c] = body(lo, min(lo+width, n))
 	}
 	if workers == 1 {
-		if Cancelled(done) {
-			return ctx.Err()
+		for c := range out {
+			if Cancelled(done) {
+				return nil, ctx.Err()
+			}
+			run(c)
 		}
-		body(0, n)
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = Chunk(n, workers)
+		return out, nil
 	}
 	var stopped atomic.Bool
 	var cursor atomic.Int64
@@ -113,138 +91,63 @@ func ForChunkedCtx(ctx context.Context, n, workers, chunk int, body func(lo, hi 
 					stopped.Store(true)
 					return
 				}
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
+				c := int(cursor.Add(1)) - 1
+				if c >= len(out) {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
+				run(c)
 			}
 		}()
 	}
 	wg.Wait()
 	if stopped.Load() {
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
-	return nil
+	return out, nil
 }
 
-// SumInt64 computes sum over i in [0,n) of body(i) in parallel, combining
-// per-worker partial sums (no atomics on the hot path).
-func SumInt64(n, workers int, body func(i int) int64) int64 {
-	return ReduceInt64(n, workers, func(lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += body(i)
-		}
-		return s
-	})
-}
-
-// SumFloat64 is SumInt64 for float64 bodies. The combination order of
-// partial sums is nondeterministic; callers needing bit-exact
-// reproducibility should use a single worker.
-func SumFloat64(n, workers int, body func(i int) float64) float64 {
-	return ReduceFloat64(n, workers, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += body(i)
-		}
-		return s
-	})
-}
-
-// ReduceInt64 computes the sum of body(lo,hi) over disjoint chunks
-// covering [0,n), in parallel.
-func ReduceInt64(n, workers int, body func(lo, hi int) int64) int64 {
-	v, _ := reduceCtx(context.Background(), n, workers, body)
-	return v
-}
-
-// ReduceInt64Ctx is ReduceInt64 with cooperative cancellation at chunk
-// boundaries; on cancellation it returns 0 and ctx.Err().
-func ReduceInt64Ctx(ctx context.Context, n, workers int, body func(lo, hi int) int64) (int64, error) {
-	return reduceCtx(ctx, n, workers, body)
-}
-
-// ReduceFloat64 is ReduceInt64 for float64 partials.
-func ReduceFloat64(n, workers int, body func(lo, hi int) float64) float64 {
-	v, _ := reduceCtx(context.Background(), n, workers, body)
-	return v
-}
-
-// ReduceFloat64Ctx is ReduceFloat64 with cooperative cancellation at
-// chunk boundaries; on cancellation it returns 0 and ctx.Err().
-func ReduceFloat64Ctx(ctx context.Context, n, workers int, body func(lo, hi int) float64) (float64, error) {
-	return reduceCtx(ctx, n, workers, body)
-}
-
-// reduceCtx is the shared implementation behind the typed reductions:
-// per-worker private partial sums, combined in worker-index order. A
-// single worker always evaluates the range as one body(0, n) call so
-// its summation grouping — and therefore the float result — is
-// bit-identical whether or not the context is cancellable (the
-// single-worker configuration is exactly the one chosen for
-// deterministic results); cancellation is then observed only before
-// the run starts.
-func reduceCtx[T int64 | float64](ctx context.Context, n, workers int, body func(lo, hi int) T) (T, error) {
-	var zero T
-	if n <= 0 {
-		return zero, nil
-	}
-	done := ctxDone(ctx)
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		if Cancelled(done) {
-			return zero, ctx.Err()
-		}
-		return body(0, n), nil
-	}
-	chunk := Chunk(n, workers)
-	var stopped atomic.Bool
-	partial := make([]T, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			var s T
-			for {
-				if Cancelled(done) {
-					stopped.Store(true)
-					break
-				}
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					break
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				s += body(lo, hi)
-			}
-			partial[w] = s
-		}(w)
-	}
-	wg.Wait()
-	if stopped.Load() {
-		return zero, ctx.Err()
-	}
+// Sum returns the sum of body(lo, hi) over the grid covering [0, n),
+// folded in chunk order — bit-identical for every worker count. On
+// cancellation it returns 0 and ctx.Err().
+func Sum[T int64 | float64](ctx context.Context, n, workers int, body func(lo, hi int) T) (T, error) {
+	parts, err := Chunks(ctx, n, workers, body)
 	var total T
-	for _, s := range partial {
-		total += s
+	if err != nil {
+		return total, err
+	}
+	for _, p := range parts {
+		total += p
 	}
 	return total, nil
+}
+
+// ForChunkedCtx runs body(lo, hi) over every chunk of the grid covering
+// [0, n). It returns nil when every chunk ran, ctx.Err() when
+// cancellation cut the loop short.
+func ForChunkedCtx(ctx context.Context, n, workers int, body func(lo, hi int)) error {
+	_, err := Chunks(ctx, n, workers, func(lo, hi int) struct{} {
+		body(lo, hi)
+		return struct{}{}
+	})
+	return err
+}
+
+// For runs body(i) for every i in [0, n) using the given number of
+// workers (<=0 means DefaultWorkers). Iterations must be independent;
+// body must synchronize any shared writes itself.
+func For(n, workers int, body func(i int)) {
+	ForCtx(context.Background(), n, workers, body)
+}
+
+// ForCtx is For with cooperative cancellation: after ctx is cancelled no
+// new chunk is started, and ctx.Err() is returned. Chunks already in
+// flight finish, so the latency of cancellation is one chunk.
+func ForCtx(ctx context.Context, n, workers int, body func(i int)) error {
+	return ForChunkedCtx(ctx, n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
 }
 
 // ctxDone returns ctx.Done(), tolerating a nil context.

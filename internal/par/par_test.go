@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -25,14 +26,37 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForChunkedCoversRange(t *testing.T) {
 	n := 1000
 	var total atomic.Int64
-	ForChunked(n, 4, 7, func(lo, hi int) {
+	err := ForChunkedCtx(context.Background(), n, 4, func(lo, hi int) {
 		if lo < 0 || hi > n || lo >= hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
 		total.Add(int64(hi - lo))
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total.Load() != int64(n) {
 		t.Fatalf("covered %d of %d items", total.Load(), n)
+	}
+}
+
+// sumOf is Sum under a background context, for tests that never cancel.
+func sumOf[T int64 | float64](n, workers int, body func(lo, hi int) T) T {
+	v, err := Sum(context.Background(), n, workers, body)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// sumEach adapts a per-index body to Sum's per-chunk form.
+func sumEach[T int64 | float64](body func(i int) T) func(lo, hi int) T {
+	return func(lo, hi int) T {
+		var s T
+		for i := lo; i < hi; i++ {
+			s += body(i)
+		}
+		return s
 	}
 }
 
@@ -40,7 +64,7 @@ func TestSumInt64MatchesSerial(t *testing.T) {
 	n := 12345
 	want := int64(n) * int64(n-1) / 2
 	for _, workers := range []int{1, 3, 8} {
-		got := SumInt64(n, workers, func(i int) int64 { return int64(i) })
+		got := sumOf(n, workers, sumEach(func(i int) int64 { return int64(i) }))
 		if got != want {
 			t.Fatalf("workers=%d: sum=%d want %d", workers, got, want)
 		}
@@ -49,7 +73,7 @@ func TestSumInt64MatchesSerial(t *testing.T) {
 
 func TestSumFloat64MatchesSerial(t *testing.T) {
 	n := 4096
-	got := SumFloat64(n, 5, func(i int) float64 { return 1.0 })
+	got := sumOf(n, 5, sumEach(func(i int) float64 { return 1.0 }))
 	if got != float64(n) {
 		t.Fatalf("sum=%v want %v", got, float64(n))
 	}
@@ -57,7 +81,7 @@ func TestSumFloat64MatchesSerial(t *testing.T) {
 
 func TestReduceInt64ChunksDisjoint(t *testing.T) {
 	n := 999
-	got := ReduceInt64(n, 6, func(lo, hi int) int64 { return int64(hi - lo) })
+	got := sumOf(n, 6, func(lo, hi int) int64 { return int64(hi - lo) })
 	if got != int64(n) {
 		t.Fatalf("reduce=%d want %d", got, n)
 	}
@@ -65,8 +89,8 @@ func TestReduceInt64ChunksDisjoint(t *testing.T) {
 
 func TestReduceFloatSingleWorkerDeterministic(t *testing.T) {
 	n := 100
-	a := ReduceFloat64(n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
-	b := ReduceFloat64(n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
+	a := sumOf(n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
+	b := sumOf(n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
 	if a != b || a != float64(n) {
 		t.Fatalf("got %v, %v", a, b)
 	}
@@ -79,20 +103,71 @@ func TestZeroAndNegativeN(t *testing.T) {
 	if ran {
 		t.Fatal("body must not run for n<=0")
 	}
-	if SumInt64(0, 4, func(int) int64 { return 1 }) != 0 {
+	if sumOf(0, 4, sumEach(func(int) int64 { return 1 })) != 0 {
 		t.Fatal("empty sum must be 0")
 	}
-	if ReduceFloat64(-1, 4, func(int, int) float64 { return 1 }) != 0 {
+	if sumOf(-1, 4, func(int, int) float64 { return 1 }) != 0 {
 		t.Fatal("empty reduce must be 0")
+	}
+	if parts, err := Chunks(context.Background(), 0, 4, func(int, int) int { return 1 }); parts != nil || err != nil {
+		t.Fatalf("empty Chunks = %v, %v", parts, err)
 	}
 }
 
-func TestChunkAtLeastOne(t *testing.T) {
-	if Chunk(1, 64) < 1 {
-		t.Fatal("chunk must be >= 1")
+// TestGridWidth pins the chunking rule: width max(ceil(n/256), 128),
+// at most 256 chunks, and chunks that tile [0, n) in order whatever
+// the worker count.
+func TestGridWidth(t *testing.T) {
+	for _, tc := range []struct{ n, width int }{
+		{1, 128}, {128, 128}, {129, 128}, {32768, 128}, {32769, 129}, {1 << 20, 4096},
+	} {
+		if got := grid(tc.n); got != tc.width {
+			t.Errorf("grid(%d) = %d, want %d", tc.n, got, tc.width)
+		}
+		if chunks := (tc.n + tc.width - 1) / tc.width; chunks > maxChunks {
+			t.Errorf("n=%d: %d chunks exceed the %d cap", tc.n, chunks, maxChunks)
+		}
 	}
-	if Chunk(1_000_000, 4) < 1 {
-		t.Fatal("chunk must be >= 1")
+	for _, n := range []int{1, 127, 128, 1000, 40000} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			parts, err := Chunks(context.Background(), n, workers, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, width := 0, grid(n)
+			for c, p := range parts {
+				if p[0] != next || p[1] != min(next+width, n) {
+					t.Fatalf("n=%d workers=%d: chunk %d = [%d,%d), want [%d,%d)", n, workers, c, p[0], p[1], next, min(next+width, n))
+				}
+				next = p[1]
+			}
+			if next != n {
+				t.Fatalf("n=%d workers=%d: chunks cover [0,%d)", n, workers, next)
+			}
+		}
+	}
+}
+
+// TestSumBitIdenticalAcrossWorkers pins the determinism contract: a
+// float reduction groups its additions by the grid alone, so the
+// result is bit-identical for every worker count, and a cancellable
+// (but uncancelled) context changes nothing.
+func TestSumBitIdenticalAcrossWorkers(t *testing.T) {
+	n := 100_003
+	body := sumEach(func(i int) float64 { return 1.0 / float64(i+1) })
+	want := math.Float64bits(sumOf(n, 1, body))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, workers := range []int{1, 2, 3, 8} {
+		for rep := 0; rep < 3; rep++ {
+			got, err := Sum(ctx, n, workers, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != want {
+				t.Fatalf("workers=%d rep=%d: %v differs from the 1-worker %v", workers, rep, got, math.Float64frombits(want))
+			}
+		}
 	}
 }
 
@@ -115,7 +190,7 @@ func TestSumProperty(t *testing.T) {
 	f := func(n uint16, w uint8) bool {
 		nn := int(n % 5000)
 		ww := int(w%16) + 1
-		got := SumInt64(nn, ww, func(i int) int64 { return int64(i) })
+		got := sumOf(nn, ww, sumEach(func(i int) int64 { return int64(i) }))
 		return got == int64(nn)*int64(nn-1)/2 || nn == 0 && got == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -158,7 +233,7 @@ func TestForCtxCancelledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 1 << 16
 	var ran atomic.Int64
-	err := ForChunkedCtx(ctx, n, 4, 64, func(lo, hi int) {
+	err := ForChunkedCtx(ctx, n, 4, func(lo, hi int) {
 		if ran.Add(int64(hi-lo)) > 1024 {
 			cancel()
 		}
@@ -173,38 +248,33 @@ func TestForCtxCancelledMidRun(t *testing.T) {
 
 func TestReduceCtxUncancelledMatchesReduce(t *testing.T) {
 	n := 12345
-	want := ReduceInt64(n, 4, func(lo, hi int) int64 { return int64(hi - lo) })
-	got, err := ReduceInt64Ctx(context.Background(), n, 4, func(lo, hi int) int64 { return int64(hi - lo) })
-	if err != nil || got != want {
-		t.Fatalf("got %d, %v; want %d, nil", got, err, want)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Sum(ctx, n, 4, func(lo, hi int) int64 { return int64(hi - lo) })
+	if err != nil || got != int64(n) {
+		t.Fatalf("got %d, %v; want %d, nil", got, err, n)
 	}
-	f, err := ReduceFloat64Ctx(context.Background(), n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
+	f, err := Sum(ctx, n, 1, func(lo, hi int) float64 { return float64(hi - lo) })
 	if err != nil || f != float64(n) {
 		t.Fatalf("got %v, %v; want %v, nil", f, err, float64(n))
 	}
 }
 
-// TestSingleWorkerBitIdenticalUnderCancellableCtx pins the determinism
-// contract: with one worker, a cancellable (but uncancelled) context
-// must not change the summation grouping, so float results are
-// bit-identical to the non-ctx form.
+// TestSingleWorkerBitIdenticalUnderCancellableCtx checks that with one
+// worker a cancellable (but uncancelled) context does not change the
+// summation grouping, so the float result is bit-identical to the
+// background-context form.
 func TestSingleWorkerBitIdenticalUnderCancellableCtx(t *testing.T) {
 	n := 10007
-	body := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += 1.0 / float64(i+1)
-		}
-		return s
-	}
-	want := ReduceFloat64(n, 1, body)
+	body := sumEach(func(i int) float64 { return 1.0 / float64(i+1) })
+	want := sumOf(n, 1, body)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := ReduceFloat64Ctx(ctx, n, 1, body)
+	got, err := Sum(ctx, n, 1, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("cancellable ctx changed the single-worker result: %v != %v", got, want)
 	}
 }
@@ -212,22 +282,46 @@ func TestSingleWorkerBitIdenticalUnderCancellableCtx(t *testing.T) {
 func TestReduceCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := ReduceInt64Ctx(ctx, 1<<20, 4, func(lo, hi int) int64 { return int64(hi - lo) })
+	got, err := Sum(ctx, 1<<20, 4, func(lo, hi int) int64 { return int64(hi - lo) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
 	if got != 0 {
 		t.Fatalf("cancelled reduce returned %d, want 0", got)
 	}
-	// Single worker with a cancellable context must also observe it.
-	_, err = ReduceFloat64Ctx(ctx, 1<<20, 1, func(lo, hi int) float64 { return 1 })
+	// A single worker walks the grid in the caller and observes it too.
+	_, err = Sum(ctx, 1<<20, 1, func(lo, hi int) float64 { return 1 })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("single worker err=%v, want context.Canceled", err)
+	}
+	parts, err := Chunks(ctx, 1<<20, 4, func(lo, hi int) int { return hi - lo })
+	if !errors.Is(err, context.Canceled) || parts != nil {
+		t.Fatalf("cancelled Chunks = %v, %v; want nil, context.Canceled", parts, err)
+	}
+}
+
+// TestSingleWorkerCancelledMidRun checks that the in-caller path stops
+// at the next chunk boundary, not only before the run starts.
+func TestSingleWorkerCancelledMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 1 << 16
+	var ran int
+	_, err := Sum(ctx, n, 1, func(lo, hi int) int64 {
+		ran += hi - lo
+		cancel()
+		return 0
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if ran != grid(n) {
+		t.Fatalf("ran %d items after cancelling in the first chunk, want %d", ran, grid(n))
 	}
 }
 
 func BenchmarkForOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		SumInt64(1024, 4, func(i int) int64 { return int64(i) })
+		sumOf(1024, 4, sumEach(func(i int) int64 { return int64(i) }))
 	}
 }

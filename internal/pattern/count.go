@@ -49,13 +49,6 @@ func (s *Stats) add(o Stats) {
 	s.SumSizes += o.SumSizes
 }
 
-// chunkSize is the fixed root-vertex chunk width. It is deliberately
-// independent of the worker count: per-chunk partial results are
-// merged in chunk order, so counts AND float estimates are
-// bit-identical across any -workers setting (the serving determinism
-// contract the cluster smoke test asserts).
-const chunkSize = 256
-
 // CountExact counts the symmetry-unique embeddings of the plan's
 // pattern in g. With pg == nil every candidate extension is verified
 // by exact adjacency alone; with a pg, candidates are first probed
@@ -107,14 +100,14 @@ type chunkOut struct {
 	st  Stats
 }
 
-// run sweeps DFS roots over all vertices in fixed-size chunks and
-// returns the per-chunk partials in chunk order.
+// run sweeps DFS roots over all vertices on par's chunk grid and
+// returns the per-chunk partials in chunk order. The grid depends only
+// on the vertex count, so merging the partials in that order makes
+// counts AND float estimates bit-identical across any -workers setting
+// (the serving determinism contract the cluster smoke test asserts).
 func run(ctx context.Context, g *graph.Graph, plan *Plan, pg *core.PG, workers int, estimate bool) ([]chunkOut, error) {
-	n := g.NumVertices()
-	numChunks := (n + chunkSize - 1) / chunkSize
-	outs := make([]chunkOut, numChunks)
 	done := ctx.Done()
-	err := par.ForChunkedCtx(ctx, numChunks, workers, 1, func(clo, chi int) {
+	outs, err := par.Chunks(ctx, g.NumVertices(), workers, func(lo, hi int) chunkOut {
 		e := &exec{g: g, pg: pg, plan: plan, estimate: estimate, done: done}
 		if pg != nil {
 			// BF probes go through the hoisted Prober (the fast path the
@@ -133,20 +126,14 @@ func run(ctx context.Context, g *graph.Graph, plan *Plan, pg *core.PG, workers i
 			e.levels = plan.P.k
 			e.gt, e.lt = plan.Gt, plan.Lt
 		}
-		for ci := clo; ci < chi; ci++ {
-			lo, hi := ci*chunkSize, (ci+1)*chunkSize
-			if hi > n {
-				hi = n
+		for v := lo; v < hi; v++ {
+			if par.Cancelled(e.done) {
+				break
 			}
-			e.out = &outs[ci]
-			for v := lo; v < hi; v++ {
-				if par.Cancelled(e.done) {
-					return
-				}
-				e.mapped[0] = uint32(v)
-				e.extend(1)
-			}
+			e.mapped[0] = uint32(v)
+			e.extend(1)
 		}
+		return e.out
 	})
 	if err != nil {
 		return nil, err
@@ -157,14 +144,13 @@ func run(ctx context.Context, g *graph.Graph, plan *Plan, pg *core.PG, workers i
 	return outs, nil
 }
 
-// exec is one worker's DFS state; out points at the current chunk's
-// result slot.
+// exec is one chunk's DFS state; out accumulates the chunk's result.
 type exec struct {
 	g        *graph.Graph
 	pg       *core.PG
 	plan     *Plan
 	done     <-chan struct{}
-	out      *chunkOut
+	out      chunkOut
 	estimate bool
 	pruneOn  bool
 	probe    *core.Prober // non-nil iff BF

@@ -90,9 +90,8 @@ type Kernel interface {
 // Run executes one kernel under the Session's configuration with
 // cooperative cancellation: ctx is observed at the chunk boundaries of
 // every parallel loop, and a cancelled run returns ctx.Err() within one
-// chunk. (The explicit single-worker configuration runs each loop as
-// one chunk to keep float results bit-identical to the flat API, so
-// there cancellation is observed only between loops.) Derived state
+// chunk. Float results are bit-identical to the flat API at any worker
+// count: every loop walks internal/par's fixed chunk grid. Derived state
 // (orientation, sketches) is built lazily and cached; misconfiguration
 // (out-of-range vertices, bad K, unsupported sketch/kernel
 // combinations) is reported as an error, never a panic.

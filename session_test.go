@@ -13,10 +13,12 @@ import (
 // TestSessionMatchesFlatAPI is the API-redesign acceptance contract:
 // sess.Run produces bit-identical results to the corresponding flat
 // function for TC, 4-clique, similarity, and clustering on a fixed-seed
-// Kronecker graph. One worker keeps the float reductions deterministic.
+// Kronecker graph. Several workers run it: the parallel loops' fixed
+// chunk grid keeps the float reductions deterministic at any worker
+// count.
 func TestSessionMatchesFlatAPI(t *testing.T) {
 	g := probgraph.Kronecker(9, 10, 42)
-	const seed, workers = 7, 1
+	const seed, workers = 7, 4
 	cfg := probgraph.Config{Kind: probgraph.BF, Budget: 0.25, Seed: seed, Workers: workers}
 	sess, err := probgraph.NewSession(g,
 		probgraph.WithSeed(seed), probgraph.WithWorkers(workers), probgraph.WithBudget(0.25))
